@@ -14,6 +14,7 @@ architectural component the survey credits for its winners' ratios:
 import numpy as np
 import pytest
 
+from repro.api.frames import decode_payload, encode_payload
 from repro.compressors import get_compressor
 from repro.compressors.buff import BuffCompressor
 from repro.compressors.pfpc import PfpcCompressor
@@ -84,13 +85,13 @@ def test_ndzip_zigzag_sign_handling(benchmark, emit):
 
     arr = load("turbulence", 16384)
     comp = get_compressor("ndzip-cpu")
-    with_zz = _cr(arr.nbytes, benchmark(comp.compress, arr))
+    with_zz = _cr(arr.nbytes, benchmark(encode_payload, comp, arr))
 
     orig_zz, orig_uz = nd._zigzag, nd._unzigzag
     nd._zigzag = lambda v: v
     nd._unzigzag = lambda v: v
     try:
-        without_zz = _cr(arr.nbytes, comp.compress(arr))
+        without_zz = _cr(arr.nbytes, encode_payload(comp, arr))
     finally:
         nd._zigzag, nd._unzigzag = orig_zz, orig_uz
     emit("ablation_ndzip_zigzag",
@@ -101,8 +102,8 @@ def test_ndzip_zigzag_sign_handling(benchmark, emit):
 def test_chimp_window_vs_previous_value(benchmark, emit):
     """Chimp's 128-value window vs Gorilla on value-recurring data."""
     arr = load("gas-price", 16384).copy().ravel()
-    chimp = _cr(arr.nbytes, benchmark(get_compressor("chimp").compress, arr))
-    gorilla = _cr(arr.nbytes, get_compressor("gorilla").compress(arr))
+    chimp = _cr(arr.nbytes, benchmark(encode_payload, get_compressor("chimp"), arr))
+    gorilla = _cr(arr.nbytes, encode_payload(get_compressor("gorilla"), arr))
     emit("ablation_chimp_window",
          f"gas-price: Chimp {chimp:.3f} vs Gorilla {gorilla:.3f}")
     assert chimp > 1.5 * gorilla
@@ -114,8 +115,10 @@ def test_buff_precision_sweep(benchmark, precision, emit):
     rng = np.random.default_rng(0)
     arr = np.round(rng.normal(100, 20, 16384), 2)
     comp = BuffCompressor(precision=precision)
-    blob = benchmark(comp.compress, arr)
-    np.testing.assert_array_equal(comp.decompress(blob), arr)
+    blob = benchmark(encode_payload, comp, arr)
+    np.testing.assert_array_equal(
+        decode_payload(comp, blob, arr.shape, arr.dtype), arr
+    )
     cr = _cr(arr.nbytes, blob)
     emit(f"ablation_buff_p{precision}", f"precision={precision}: CR {cr:.3f}")
     if precision == 1:
@@ -129,7 +132,7 @@ def test_pfpc_table_size(benchmark, table_bits, emit):
     """FCM/DFCM table size: larger tables predict longer contexts."""
     arr = load("msg-bt", 8192).copy()
     comp = PfpcCompressor(table_bits=table_bits)
-    blob = benchmark.pedantic(comp.compress, args=(arr,),
+    blob = benchmark.pedantic(encode_payload, args=(comp, arr),
                               iterations=1, rounds=1)
     cr = _cr(arr.nbytes, blob)
     emit(f"ablation_pfpc_t{table_bits}", f"table_bits={table_bits}: CR {cr:.3f}")

@@ -8,6 +8,7 @@ kernel costs that dominate suite runtime.
 import numpy as np
 import pytest
 
+from repro.api.frames import decode_payload, encode_payload
 from repro.compressors import get_compressor
 from repro.data import load
 
@@ -18,8 +19,7 @@ _FAST = ["bitshuffle-lz4", "ndzip-cpu", "mpc", "nvcomp-bitcomp", "spdp", "buff"]
 def test_compress_kernel(benchmark, method):
     comp = get_compressor(method)
     arr = load("gas-price", 8192)
-    work = arr if comp.info.supports_dtype(arr.dtype) else arr.astype(np.float64)
-    blob = benchmark(comp.compress, work)
+    blob = benchmark(encode_payload, comp, arr)
     assert len(blob) > 0
 
 
@@ -27,20 +27,19 @@ def test_compress_kernel(benchmark, method):
 def test_decompress_kernel(benchmark, method):
     comp = get_compressor(method)
     arr = load("gas-price", 8192)
-    work = arr if comp.info.supports_dtype(arr.dtype) else arr.astype(np.float64)
-    blob = comp.compress(work)
-    out = benchmark(comp.decompress, blob)
-    assert out.size == work.size
+    blob = encode_payload(comp, arr)
+    out = benchmark(decode_payload, comp, blob, arr.shape, arr.dtype)
+    assert out.size == arr.size
 
 
 def test_buff_scan_vs_decode_scan(benchmark):
     """BUFF's pitch: predicate evaluation without decoding."""
     arr = np.round(np.random.default_rng(0).normal(30, 8, 65536), 2)
     comp = get_compressor("buff")
-    blob = comp.compress(arr)
+    blob = encode_payload(comp, arr)
 
     def encoded_scan():
-        return comp.scan_less_equal(blob, 30.0)
+        return comp.scan_less_equal(blob, 30.0, arr.dtype)
 
     mask = benchmark(encoded_scan)
     np.testing.assert_array_equal(mask, arr <= 30.0)

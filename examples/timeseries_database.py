@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 from repro.api import CompressSession, DecompressSession
+from repro.api.frames import decode_payload, encode_payload
 from repro.compressors import BuffCompressor, get_compressor
 from repro.core.report import format_table
 
@@ -75,18 +76,18 @@ def main() -> None:
     )
 
     # --- BUFF: query without decoding ----------------------------------
-    # BUFF's encoded-plane scans work on its one-shot stream (the
+    # BUFF's encoded-plane scans work on one codec payload (the
     # byte-plane layout needs the whole column in one payload).
     buff = BuffCompressor()
-    blob = buff.compress(stream)
+    blob = encode_payload(buff, stream)
     threshold = 60.0
 
     start = time.perf_counter()
-    encoded_mask = buff.scan_less_equal(blob, threshold)
+    encoded_mask = buff.scan_less_equal(blob, threshold, stream.dtype)
     encoded_time = time.perf_counter() - start
 
     start = time.perf_counter()
-    decoded = buff.decompress(blob)
+    decoded = decode_payload(buff, blob, stream.shape, stream.dtype)
     decoded_mask = decoded <= threshold
     decode_time = time.perf_counter() - start
 
@@ -102,7 +103,7 @@ def main() -> None:
     )
 
     value = stream[1234]
-    eq_mask = buff.scan_equal(blob, float(value))
+    eq_mask = buff.scan_equal(blob, float(value), stream.dtype)
     print(f"point lookup x == {value}: {int(eq_mask.sum())} matches "
           "(evaluated byte-plane by byte-plane)")
 

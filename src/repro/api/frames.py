@@ -40,16 +40,16 @@ still written whenever a concrete codec is requested, byte-for-byte
 identical to before — v2 only appears when the writer asked for
 adaptive selection.
 
-This module also owns the *legacy* single-shot framing (magic ``0xFC``
-header + one payload) that :meth:`repro.compressors.base.Compressor.compress`
-has always produced; both formats share the same hardened payload
-decoder, so every malformed stream — truncated, bit-flipped, or carrying
-hostile metadata — surfaces as
-:class:`~repro.errors.CorruptStreamError`.
+Every payload goes through one hardened codec entry point
+(:func:`encode_payload`/:func:`decode_payload`), shared by the sessions,
+the storage filters and the paper's measurement runner, so every
+malformed stream — truncated, bit-flipped, or carrying hostile
+metadata — surfaces as :class:`~repro.errors.CorruptStreamError`.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -80,9 +80,6 @@ __all__ = [
     "split_frame_codec",
     "decode_mixed_frame",
     "check_declared_count",
-    "encode_legacy_frame",
-    "decode_legacy_header",
-    "decode_legacy_frame",
 ]
 
 FRAME_MAGIC = b"FCF1"
@@ -99,7 +96,6 @@ RAW_CODEC = "none"
 #: Default frame granularity (64 Ki elements = 512 KiB of float64).
 DEFAULT_CHUNK_ELEMENTS = 1 << 16
 
-_LEGACY_MAGIC = 0xFC
 _MAX_RANK = 8
 _MAX_CODEC_NAME = 64
 #: Upper bound on v2 codec-table entries (far above the registry size).
@@ -384,28 +380,36 @@ def read_layout(fh) -> tuple[StreamHeader, StreamIndex, int]:
 
 
 # ----------------------------------------------------------------------
-# Payload codec (shared by sessions, storage filters, and legacy shims)
+# Payload codec (shared by sessions, storage filters, and the runner)
 # ----------------------------------------------------------------------
 def _reinterpret_for(compressor, array: np.ndarray) -> np.ndarray:
-    """Feed dtypes a codec cannot take through its byte stream.
+    """The validated array ``compressor`` receives for ``array``.
 
-    Double-only methods (pFPC, GFC — Table 1) see float32 chunks as raw
-    64-bit words: pairs of floats become one double, odd tails are
-    zero-padded.  Inverted by :func:`decode_payload`.
+    Double-only methods (pFPC, GFC — Table 1) get float32 data through
+    its byte stream, as the paper's harness hands it over: pairs of
+    floats become one double and an odd tail is zero-padded.  Inverted
+    by :func:`decode_payload`.
     """
-    if array.size % 2:
-        array = np.concatenate([array, np.zeros(1, dtype=array.dtype)])
-    return array.view(np.float64)
+    array = np.ascontiguousarray(array)
+    dtype = array.dtype
+    if dtype == np.float32 and not compressor.info.supports_dtype(dtype):
+        array = array.ravel()
+        if array.size % 2:
+            array = np.concatenate([array, np.zeros(1, dtype=array.dtype)])
+        array = array.view(np.float64)
+    return compressor._validate(array)
 
 
-def encode_payload(compressor, chunk: np.ndarray) -> bytes:
-    """Compress one chunk into a raw frame payload (no per-chunk header)."""
-    array = np.ascontiguousarray(chunk).ravel()
+def encode_payload(compressor, array: np.ndarray) -> bytes:
+    """Compress one array into a raw frame payload (no per-chunk header).
+
+    The codec receives the array in its logical shape, so the N-D
+    predictors (fpzip, ndzip) see its dimensions; sessions pass 1-D
+    chunks.  Inverted by :func:`decode_payload` given the same shape.
+    """
     if compressor is None:
-        return array.tobytes()
-    if not compressor.info.supports_dtype(array.dtype):
-        array = _reinterpret_for(compressor, array)
-    return compressor._compress(compressor._validate(array))
+        return np.ascontiguousarray(array).tobytes()
+    return compressor._compress(_reinterpret_for(compressor, array))
 
 
 def check_declared_count(compressor, count: int, payload_bytes: int) -> None:
@@ -474,9 +478,9 @@ def _check_crc(payload, crc32: int | None) -> None:
 
 
 def decode_payload(
-    compressor, payload, n_elements: int, dtype, crc32: int | None = None
+    compressor, payload, shape: tuple[int, ...], dtype, crc32: int | None = None
 ) -> np.ndarray:
-    """Decode one frame payload back to ``n_elements`` of ``dtype`` (flat).
+    """Decode one frame payload back to an array of ``shape`` and ``dtype``.
 
     With ``crc32`` given (the FCF index carries one per frame), the
     payload checksum is verified *before* the codec runs, so bit rot
@@ -485,27 +489,24 @@ def decode_payload(
     """
     dtype = np.dtype(dtype)
     _check_crc(payload, crc32)
+    count = math.prod(shape)
     if compressor is None:
-        if len(payload) != n_elements * dtype.itemsize:
+        if len(payload) != count * dtype.itemsize:
             raise CorruptStreamError(
                 f"raw frame holds {len(payload)} bytes, expected "
-                f"{n_elements} x {dtype}"
+                f"{count} x {dtype}"
             )
         # Copy rather than alias: frombuffer over the I/O buffer would
         # hand out a read-only view that pins the whole read blob —
         # every other codec returns a fresh writable array.
-        return np.frombuffer(payload, dtype=dtype).copy()
-    decode_dtype = dtype
-    decode_count = n_elements
+        return np.frombuffer(payload, dtype=dtype).copy().reshape(shape)
     if not compressor.info.supports_dtype(dtype):
-        decode_dtype = np.dtype(np.float64)
-        decode_count = (n_elements + 1) // 2
-    check_declared_count(compressor, decode_count, len(payload))
-    decoded = _run_decoder(compressor, payload, (decode_count,), decode_dtype)
-    decoded = decoded.ravel()
-    if decode_dtype != dtype:
-        decoded = decoded.view(dtype)[:n_elements]
-    return decoded
+        words = (count + 1) // 2
+        check_declared_count(compressor, words, len(payload))
+        decoded = _run_decoder(compressor, payload, (words,), np.float64)
+        return decoded.ravel().view(dtype)[:count].reshape(shape)
+    check_declared_count(compressor, count, len(payload))
+    return _run_decoder(compressor, payload, shape, dtype).reshape(shape)
 
 
 # ----------------------------------------------------------------------
@@ -527,7 +528,8 @@ def split_frame_codec(payload, n_codecs: int) -> tuple[int, "memoryview | bytes"
 
 
 def decode_mixed_frame(
-    compressors: tuple, payload, n_elements: int, dtype, crc32: int | None = None
+    compressors: tuple, payload, shape: tuple[int, ...], dtype,
+    crc32: int | None = None,
 ) -> np.ndarray:
     """Decode one v2 frame: CRC over the full frame bytes, then the
     codec-table index, then the payload under the selected codec.
@@ -537,45 +539,4 @@ def decode_mixed_frame(
     """
     _check_crc(payload, crc32)
     index, codec_payload = split_frame_codec(payload, len(compressors))
-    return decode_payload(compressors[index], codec_payload, n_elements, dtype)
-
-
-# ----------------------------------------------------------------------
-# Legacy single-shot framing (Compressor.compress / .decompress shims)
-# ----------------------------------------------------------------------
-def encode_legacy_frame(compressor, array: np.ndarray) -> bytes:
-    """The original one-shot stream: magic, dtype, shape, one payload."""
-    parts = [bytes([_LEGACY_MAGIC, _DTYPE_CODES[array.dtype]])]
-    parts.append(encode_uvarint(array.ndim))
-    for extent in array.shape:
-        parts.append(encode_uvarint(extent))
-    parts.append(compressor._compress(array))
-    return b"".join(parts)
-
-
-def decode_legacy_header(blob) -> tuple[tuple[int, ...], np.dtype, int]:
-    """Parse the legacy header; returns ``(shape, dtype, payload_offset)``."""
-    if len(blob) < 2 or blob[0] != _LEGACY_MAGIC:
-        raise CorruptStreamError("missing compressor stream magic byte")
-    dtype = _CODE_DTYPES.get(blob[1])
-    if dtype is None:
-        raise CorruptStreamError(f"unknown dtype code {blob[1]}")
-    ndim, offset = decode_uvarint(blob, 2)
-    if ndim > _MAX_RANK:
-        raise CorruptStreamError(f"implausible rank {ndim} in header")
-    shape = []
-    for _ in range(ndim):
-        extent, offset = decode_uvarint(blob, offset)
-        shape.append(extent)
-    return tuple(shape), dtype, offset
-
-
-def decode_legacy_frame(compressor, blob) -> np.ndarray:
-    """Decode a legacy one-shot stream with the hardened checks."""
-    shape, dtype, offset = decode_legacy_header(blob)
-    payload = blob[offset:]
-    count = 1
-    for extent in shape:
-        count *= extent
-    check_declared_count(compressor, count, len(payload))
-    return _run_decoder(compressor, payload, shape, dtype).reshape(shape)
+    return decode_payload(compressors[index], codec_payload, shape, dtype)

@@ -435,11 +435,11 @@ class DecompressSession:
             return map_ordered(worker, items, jobs=jobs)
         if mixed:
             return [
-                decode_mixed_frame(self._compressors, payload, n, self.dtype, crc)
+                decode_mixed_frame(self._compressors, payload, (n,), self.dtype, crc)
                 for payload, n, crc in views
             ]
         return [
-            decode_payload(self._compressor, payload, n, self.dtype, crc)
+            decode_payload(self._compressor, payload, (n,), self.dtype, crc)
             for payload, n, crc in views
         ]
 
@@ -521,7 +521,7 @@ class DecompressSession:
 def _decode_item(compressor, dtype, item) -> np.ndarray:
     """Top-level (picklable) worker for parallel frame decoding."""
     payload, n_elements, crc32 = item
-    return decode_payload(compressor, payload, n_elements, dtype, crc32)
+    return decode_payload(compressor, payload, (n_elements,), dtype, crc32)
 
 
 def _decode_item_mixed(codec_table, dtype, item) -> np.ndarray:
@@ -529,7 +529,7 @@ def _decode_item_mixed(codec_table, dtype, item) -> np.ndarray:
     per process via the memo)."""
     payload, n_elements, crc32 = item
     return decode_mixed_frame(
-        _resolved_table(tuple(codec_table)), payload, n_elements, dtype, crc32
+        _resolved_table(tuple(codec_table)), payload, (n_elements,), dtype, crc32
     )
 
 

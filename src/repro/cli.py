@@ -23,7 +23,8 @@ Subcommands:
 * ``fcbench bench``  — measure *real* encode/decode throughput per
   (method, dataset) cell (plus the scalar-oracle baselines where a
   codec retains one), write ``BENCH_<git-sha>.json`` at the repo root,
-  and diff against the previous snapshot.
+  and diff against the previous snapshot; exits 1 when any
+  ``acceptance`` or ``within_budget`` gate in the report is red.
 * ``fcbench compress / decompress / inspect`` — the streaming codec
   surface: turn a ``.npy`` array into a seekable ``.fcf`` frame stream
   (``--codec``, ``--chunk-elements``, ``--jobs``), restore it
@@ -401,7 +402,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     previous = bench.latest_snapshot(root, exclude=path)
     if previous is not None:
         print(bench.diff_reports(json.loads(previous.read_text()), report))
-    return 0
+    red = bench.red_gates(report)
+    for gate in red:
+        print(f"fcbench bench: gate failed: {gate}", file=sys.stderr)
+    return 1 if red else 0
 
 
 # ----------------------------------------------------------------------

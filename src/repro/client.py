@@ -1,10 +1,10 @@
 """The unified client surface: one ABC, one ``connect()`` entry point.
 
-Three client implementations grew up separately — the single-server
-:class:`~repro.service.client.ServiceClient`, its asyncio twin, and the
-sharded :class:`~repro.cluster.client.ClusterClient` — and callers had
-to know which one they were holding.  This module makes the synchronous
-pair drop-in interchangeable:
+Two client implementations grew up separately — the single-server
+:class:`~repro.service.client.ServiceClient` and the sharded
+:class:`~repro.cluster.client.ClusterClient` — and callers had to know
+which one they were holding.  This module makes them drop-in
+interchangeable:
 
 * :class:`CompressionClient` — the abstract contract every synchronous
   client satisfies: ``compress_array`` / ``decompress_array`` /
@@ -18,15 +18,14 @@ pair drop-in interchangeable:
   clients (``deadline=``, ``retry=``, ``attempt_timeout=``,
   ``token=``).
 
-Canonical kwarg glossary (aligned across sync/async/cluster clients,
-with deprecation shims for one release on the old spellings):
+Canonical kwarg glossary (shared by the single-server and cluster
+clients):
 
 ``deadline=``
     Overall per-operation budget in seconds — every attempt, backoff
-    sleep, and failover spends from it.  (Formerly ``timeout=``.)
+    sleep, and failover spends from it.
 ``retry=``
     Transparent retry count after transient transport faults.
-    (Formerly ``retries=``.)
 ``attempt_timeout=``
     Cap on each individual socket operation / per-node attempt.
 ``token=``
@@ -37,30 +36,8 @@ with deprecation shims for one release on the old spellings):
 from __future__ import annotations
 
 import abc
-import warnings
 
 __all__ = ["CompressionClient", "connect"]
-
-
-def deprecated_kwarg(old: str, new: str, old_value, new_value):
-    """Resolve one renamed keyword, warning when the old spelling is used.
-
-    Returns the effective value; passing *both* spellings is an error —
-    silently preferring one would hide a real bug at the call site.
-    """
-    if old_value is None:
-        return new_value
-    if new_value is not None:
-        raise TypeError(
-            f"got both {new!r} and its deprecated alias {old!r}; "
-            f"pass only {new!r}"
-        )
-    warnings.warn(
-        f"the {old!r} argument is deprecated; use {new!r}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return old_value
 
 
 class CompressionClient(abc.ABC):

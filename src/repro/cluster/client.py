@@ -41,7 +41,7 @@ import time
 import numpy as np
 
 from repro.api.frames import DEFAULT_CHUNK_ELEMENTS
-from repro.client import CompressionClient, deprecated_kwarg
+from repro.client import CompressionClient
 from repro.cluster.ring import HashRing
 from repro.errors import ClusterError, ProtocolError, ServerOverloadedError
 from repro.obs import SpanRecorder
@@ -96,9 +96,7 @@ class ClusterClient(CompressionClient):
         ``deadline`` is the *overall operation budget*: both failover
         passes, the topology refresh between them, and every backoff
         sleep spend from the same budget, so a full-set failure cannot
-        stretch an operation past it.  (Formerly spelled ``timeout=``;
-        the old keyword still works with a :class:`DeprecationWarning`
-        for one release.)
+        stretch an operation past it.
     attempt_timeout:
         Cap on one node attempt's socket operations.  Defaults to
         ``deadline``; set it lower so a slow replica leaves budget for
@@ -144,7 +142,7 @@ class ClusterClient(CompressionClient):
         *,
         replication: int | None = None,
         pool_size: int = 2,
-        deadline: float | None = None,
+        deadline: float = 30.0,
         max_payload: int | None = None,
         attempt_timeout: float | None = None,
         token: str | None = None,
@@ -154,7 +152,6 @@ class ClusterClient(CompressionClient):
         propagate_deadline: bool = False,
         address_overrides: dict | None = None,
         trace: bool | SpanRecorder = False,
-        timeout: float | None = None,
     ) -> None:
         self.seeds = [parse_seed(seed) for seed in seeds]
         if not self.seeds:
@@ -163,8 +160,7 @@ class ClusterClient(CompressionClient):
             raise ValueError("replication must be positive")
         self._replication_override = replication
         self.pool_size = int(pool_size)
-        deadline = deprecated_kwarg("timeout", "deadline", timeout, deadline)
-        self.deadline = float(30.0 if deadline is None else deadline)
+        self.deadline = float(deadline)
         self.max_payload = max_payload
         self.attempt_timeout = (
             float(attempt_timeout) if attempt_timeout is not None
@@ -199,11 +195,6 @@ class ClusterClient(CompressionClient):
         self._refreshes = 0
         self._closed = False
         self.refresh()
-
-    @property
-    def timeout(self) -> float:
-        """Deprecated alias of :attr:`deadline` (kept for one release)."""
-        return self.deadline
 
     # -- topology ------------------------------------------------------
     def _bootstrap_addresses(self) -> list[tuple[str, int]]:
@@ -403,7 +394,7 @@ class ClusterClient(CompressionClient):
             for node_id in replicas:
                 if deadline.expired:
                     raise ClusterError(
-                        f"operation deadline ({self.timeout}s) exhausted "
+                        f"operation deadline ({self.deadline}s) exhausted "
                         f"serving stream {stream_id!r}: "
                         f"{self._failure_detail(failures) or 'no attempts'}"
                     )
@@ -456,7 +447,7 @@ class ClusterClient(CompressionClient):
                 time.sleep(deadline.clamp(self.retry_policy.delay(0)))
                 if deadline.expired:
                     raise ClusterError(
-                        f"operation deadline ({self.timeout}s) exhausted "
+                        f"operation deadline ({self.deadline}s) exhausted "
                         f"before the topology refresh for stream "
                         f"{stream_id!r}: {self._failure_detail(failures)}"
                     )

@@ -14,14 +14,12 @@ import hashlib
 import inspect
 import json
 import sys
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from repro.encodings.varint import encode_uvarint
 from repro.errors import UnsupportedDtypeError
 from repro.perf.cost import CostModel
 
@@ -37,28 +35,7 @@ __all__ = [
     "PAPER_TABLE_ORDER",
 ]
 
-_MAGIC = 0xFC
-_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {code: dtype for dtype, code in _DTYPE_CODES.items()}
-
-#: One deprecation notice per process: the shims sit under hot loops
-#: (the suite runner calls them per cell), so warning on every call
-#: would bury real warnings; warning never would hide the migration.
-_SHIM_WARNING_EMITTED = False
-
-
-def _warn_shim_deprecated() -> None:
-    global _SHIM_WARNING_EMITTED
-    if _SHIM_WARNING_EMITTED:
-        return
-    _SHIM_WARNING_EMITTED = True
-    warnings.warn(
-        "Compressor.compress/decompress are deprecated single-frame "
-        "shims; use repro.api.compress_array/decompress_array or the "
-        "session API (see docs/streaming.md)",
-        DeprecationWarning,
-        stacklevel=3,  # _warn_shim_deprecated -> shim -> the caller
-    )
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -84,19 +61,14 @@ class MethodInfo:
 
 
 class Compressor(ABC):
-    """Lossless floating-point compressor with a self-describing stream.
+    """Lossless floating-point compressor.
 
     Subclasses implement :meth:`_compress` and :meth:`_decompress`; the
-    base class handles input validation and framing, so every stream
-    round-trips to the exact original array (bit-exact, NaN payloads
-    included).
-
-    Framing lives in :mod:`repro.api.frames`: the one-shot
-    :meth:`compress`/:meth:`decompress` pair below is kept as a thin
-    single-frame shim over that protocol.  New code that streams,
-    chunks, or needs random access should use the session API
-    (:mod:`repro.api`) instead — see ``docs/streaming.md`` for the
-    migration guide.
+    base class validates input.  Callers go through the payload codec in
+    :mod:`repro.api.frames` (``encode_payload``/``decode_payload``),
+    which every layer shares — the FCF sessions, the storage filters and
+    the paper's measurement runner — so every payload round-trips to the
+    exact original array (bit-exact, NaN payloads included).
     """
 
     info: MethodInfo
@@ -109,44 +81,6 @@ class Compressor(ABC):
     #: payload-driven decoders whose output size never depends on the
     #: declared count (see ``repro.api.frames.check_declared_count``).
     max_decode_expansion: int | None = 256
-
-    # ------------------------------------------------------------------
-    # Public API (deprecated one-shot shims)
-    # ------------------------------------------------------------------
-    def compress(self, array: np.ndarray) -> bytes:
-        """Compress ``array`` into a self-describing one-shot stream.
-
-        .. deprecated::
-            This is the legacy single-frame surface, kept for
-            compatibility.  Migrate to ``repro.api``:
-            ``compress_array(array, codec)`` for in-memory streams, or
-            ``open_stream(path, "wb", codec=...)`` for files — both add
-            chunked framing, bounded memory, random access, and
-            ``jobs=N`` parallelism.
-        """
-        from repro.api import frames
-
-        _warn_shim_deprecated()
-        return frames.encode_legacy_frame(self, self._validate(array))
-
-    def decompress(self, blob: bytes) -> np.ndarray:
-        """Reconstruct the exact original array from a compressed stream.
-
-        Accepts both this method's legacy one-shot output and the FCF
-        streams produced by the ``repro.api`` sessions (detected by
-        magic), so readers keep working mid-migration.
-
-        .. deprecated::
-            Legacy shim — new code should use
-            ``repro.api.decompress_array`` / ``DecompressSession``.
-        """
-        from repro.api import frames
-        from repro.api.session import decompress_array
-
-        _warn_shim_deprecated()
-        if bytes(blob[:4]) == frames.FRAME_MAGIC:
-            return decompress_array(blob)
-        return frames.decode_legacy_frame(self, blob)
 
     # ------------------------------------------------------------------
     # Subclass hooks
@@ -166,11 +100,11 @@ class Compressor(ABC):
         """
 
     # ------------------------------------------------------------------
-    # Validation and framing
+    # Validation
     # ------------------------------------------------------------------
     def _validate(self, array: np.ndarray) -> np.ndarray:
         array = np.asarray(array)
-        if array.dtype not in _DTYPE_CODES:
+        if array.dtype not in _FLOAT_DTYPES:
             raise UnsupportedDtypeError(
                 f"{self.info.name} expects float32/float64 input, "
                 f"got dtype {array.dtype}"
@@ -179,8 +113,8 @@ class Compressor(ABC):
             precisions = ",".join(sorted(self.info.precisions))
             raise UnsupportedDtypeError(
                 f"{self.info.name} supports only precision(s) {precisions}; "
-                f"got {array.dtype} (upcast float32 inputs explicitly, as the "
-                "paper's harness does)"
+                f"got {array.dtype} (frames.encode_payload hands such a "
+                "method float32 data as 64-bit words)"
             )
         if self.max_input_bytes is not None and array.nbytes > self.max_input_bytes:
             from repro.errors import InputTooLargeError
@@ -190,26 +124,6 @@ class Compressor(ABC):
                 f"got {array.nbytes}"
             )
         return np.ascontiguousarray(array)
-
-    @staticmethod
-    def _pack_header(array: np.ndarray) -> bytes:
-        parts = [bytes([_MAGIC, _DTYPE_CODES[array.dtype]])]
-        parts.append(encode_uvarint(array.ndim))
-        for extent in array.shape:
-            parts.append(encode_uvarint(extent))
-        return b"".join(parts)
-
-    @staticmethod
-    def _unpack_header(blob: bytes) -> tuple[tuple[int, ...], np.dtype, int]:
-        """Parse the legacy one-shot header (delegates to the frame layer).
-
-        Note that header fields alone cannot be trusted: the declared
-        element count is additionally bounded against the payload length
-        (per-codec ``max_decode_expansion``) inside :meth:`decompress`.
-        """
-        from repro.api import frames
-
-        return frames.decode_legacy_header(blob)
 
 
 # ----------------------------------------------------------------------

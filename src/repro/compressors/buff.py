@@ -180,8 +180,11 @@ class BuffCompressor(Compressor):
     # ------------------------------------------------------------------
     # Query without decoding (the paper's byte-oriented pattern match)
     # ------------------------------------------------------------------
-    def scan_less_equal(self, blob: bytes, threshold: float) -> np.ndarray:
+    def scan_less_equal(self, payload, threshold: float, dtype) -> np.ndarray:
         """Evaluate ``x <= threshold`` directly on the encoded sub-columns.
+
+        ``payload`` is this codec's output for ``dtype`` data, as
+        :func:`repro.api.frames.encode_payload` returns it.
 
         Inliers are compared plane by plane against the encoded threshold
         (big-endian fixed point preserves numeric order); a record is
@@ -189,8 +192,7 @@ class BuffCompressor(Compressor):
         mirroring BUFF's progressive filtering.  Only outliers are
         materialized.
         """
-        shape, dtype, offset = self._unpack_header(blob)
-        meta = _parse_stream(blob[offset:], dtype)
+        meta = _parse_stream(payload, dtype)
         result = np.zeros(meta.count, dtype=bool)
 
         # Encode the threshold at the stream's fixed-point parameters:
@@ -222,10 +224,9 @@ class BuffCompressor(Compressor):
         result[~meta.inlier_mask] = meta.outliers <= threshold
         return result
 
-    def scan_equal(self, blob: bytes, value: float) -> np.ndarray:
+    def scan_equal(self, payload, value: float, dtype) -> np.ndarray:
         """Evaluate ``x == value`` on the encoded sub-columns."""
-        shape, dtype, offset = self._unpack_header(blob)
-        meta = _parse_stream(blob[offset:], dtype)
+        meta = _parse_stream(payload, dtype)
         result = np.zeros(meta.count, dtype=bool)
 
         scale = 10.0**meta.precision

@@ -235,8 +235,8 @@ class GorillaCompressor(Compressor):
     """Gorilla's floating-point value pipeline (timestamps are out of scope).
 
     The paper evaluates the InfluxDB integration, which stores float64;
-    single-precision inputs must be upcast by the caller, as the
-    benchmark harness does (Table 1 lists precision "D").
+    single-precision inputs run through the same pipeline on 32-bit
+    words (see the note on ``precisions`` below).
     """
 
     info = MethodInfo(

@@ -47,7 +47,7 @@ __all__ = [
 
 #: Bump to invalidate every cached cell at once (format or harness
 #: changes that per-method fingerprints cannot see).
-CACHE_VERSION = "v13"
+CACHE_VERSION = "v14"
 
 _LAST_RUN_FILE = "last_run.json"
 

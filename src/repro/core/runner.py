@@ -9,8 +9,13 @@ kernel + transfers for end-to-end wall time.
 
 Paper-faithful policies implemented here:
 
-* double-only methods (pFPC, GFC, Gorilla) receive float32 datasets
-  upcast to float64, and CR is measured against the upcast buffer;
+* every method is called through the same payload codec the FCF
+  sessions use (:func:`repro.api.frames.encode_payload`), with the
+  dataset in its logical shape, so CR is the dataset's bytes over the
+  codec's own output;
+* double-only methods (pFPC, GFC) receive float32 datasets as their raw
+  byte stream, pairs of values read as one 64-bit word, so CR is still
+  measured against the original bytes;
 * GFC skips datasets whose *paper-scale* size exceeds its 512 MB input
   limit — these become the "-" cells of Table 4;
 * every stream is verified to round-trip bit-exactly before a
@@ -41,6 +46,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.api.frames import decode_payload, encode_payload
 from repro.compressors import get_compressor
 from repro.compressors.base import Compressor
 from repro.core.results import Measurement
@@ -82,24 +88,6 @@ class BenchmarkRunner:
         state["on_result"] = None
         return state
 
-    def prepare_input(
-        self, compressor: Compressor, array: np.ndarray
-    ) -> np.ndarray:
-        """Feed float32 data to double-only methods by byte reinterpretation.
-
-        The paper's harness hands each compressor the raw byte stream, so
-        a double-only method (pFPC, GFC) sees pairs of float32 values as
-        one 64-bit word.  This keeps the compression ratio measured
-        against the original bytes — upcasting would halve every ratio,
-        which is inconsistent with the published Table 4 columns.
-        """
-        if compressor.info.supports_dtype(array.dtype):
-            return array
-        flat = np.ascontiguousarray(array).ravel()
-        if flat.size % 2:
-            flat = np.concatenate([flat, np.zeros(1, dtype=flat.dtype)])
-        return flat.view(np.float64)
-
     def run_cell(
         self,
         method: str,
@@ -131,13 +119,15 @@ class BenchmarkRunner:
                 error=skip,
             )
 
-        work = self.prepare_input(compressor, array)
-        precision = "D" if work.dtype == np.float64 else "S"
+        # Precision of the data as compressed: double-only methods see
+        # float32 datasets as 64-bit words.
+        supported = compressor.info.supports_dtype(array.dtype)
+        precision = "S" if array.dtype == np.float32 and supported else "D"
         try:
             t0 = time.perf_counter()
-            blob = compressor.compress(work)
+            payload = encode_payload(compressor, array)
             t1 = time.perf_counter()
-            restored = compressor.decompress(blob)
+            restored = decode_payload(compressor, payload, array.shape, array.dtype)
             t2 = time.perf_counter()
         except ReproError as exc:
             return Measurement(
@@ -148,7 +138,7 @@ class BenchmarkRunner:
                 ok=False,
                 error=f"{type(exc).__name__}: {exc}",
             )
-        if self.verify and not verify_roundtrip(work, restored):
+        if self.verify and not verify_roundtrip(array, restored):
             return Measurement(
                 method=method,
                 dataset=spec.name,
@@ -158,12 +148,12 @@ class BenchmarkRunner:
                 error="roundtrip verification failed",
             )
 
-        ratio = work.nbytes / len(blob)
+        ratio = array.nbytes / len(payload)
         # Model timing at the dataset's paper-scale size so wall times are
         # comparable with the published tables.
-        scale = spec.paper_bytes / max(work.nbytes, 1)
-        paper_input = int(work.nbytes * scale)
-        paper_output = int(len(blob) * scale)
+        scale = spec.paper_bytes / max(array.nbytes, 1)
+        paper_input = int(array.nbytes * scale)
+        paper_output = int(len(payload) * scale)
         cost = compressor.cost
         ct = self.perf.throughput_gbs(cost, paper_input, "compress")
         dt = self.perf.throughput_gbs(cost, paper_input, "decompress")
@@ -179,8 +169,8 @@ class BenchmarkRunner:
             domain=spec.domain,
             precision=precision,
             ok=True,
-            input_bytes=work.nbytes,
-            compressed_bytes=len(blob),
+            input_bytes=array.nbytes,
+            compressed_bytes=len(payload),
             compression_ratio=ratio,
             compress_gbs=ct,
             decompress_gbs=dt,

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 from repro.compressors import paper_table_order
 from repro.core.cache import (
-    CACHE_VERSION,
     CacheStats,
     CellCache,
     cache_dir,
@@ -62,10 +61,6 @@ __all__ = [
     "default_datasets",
     "cache_dir",
 ]
-
-#: Re-exported for callers that keyed off the old module-level constant.
-_CACHE_VERSION = CACHE_VERSION
-
 
 def default_methods() -> list[str]:
     """The 14 table methods in the paper's column order (no Dzip)."""

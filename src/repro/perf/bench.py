@@ -46,6 +46,7 @@ __all__ = [
     "find_snapshots",
     "latest_snapshot",
     "diff_reports",
+    "red_gates",
     "git_sha",
     "repo_root",
 ]
@@ -127,15 +128,14 @@ def bench_cell(
     seed: int = 0,
 ) -> dict:
     """Measure one (method, dataset) cell; returns a JSON-ready dict."""
+    from repro.api.frames import _reinterpret_for
     from repro.compressors import get_compressor
-    from repro.core.runner import BenchmarkRunner
     from repro.data.loader import load
 
     compressor = get_compressor(method)
     array = load(dataset, elements, seed)
-    work = np.ascontiguousarray(
-        BenchmarkRunner().prepare_input(compressor, array)
-    )
+    # What encode_payload hands the codec, so only the kernel is timed.
+    work = _reinterpret_for(compressor, array)
     shape, dtype = work.shape, work.dtype
 
     payload = compressor._compress(work)
@@ -387,6 +387,30 @@ def latest_snapshot(
         if exclude is None or path.resolve() != Path(exclude).resolve()
     ]
     return snaps[-1] if snaps else None
+
+
+def red_gates(report, path: str = "") -> list[str]:
+    """Dotted paths of every failed gate in ``report``.
+
+    A gate is an ``acceptance`` block whose ``pass`` is false or a
+    ``within_budget`` flag that is false, at any depth.
+    """
+    if isinstance(report, list):
+        items = [(str(i), value) for i, value in enumerate(report)]
+    elif isinstance(report, dict):
+        items = list(report.items())
+    else:
+        return []
+    red = []
+    for key, value in items:
+        where = f"{path}.{key}" if path else key
+        if key == "within_budget" and value is False:
+            red.append(where)
+        elif key == "acceptance" and isinstance(value, dict):
+            if value.get("pass") is False:
+                red.append(where)
+        red.extend(red_gates(value, where))
+    return red
 
 
 def diff_reports(old: dict, new: dict) -> str:

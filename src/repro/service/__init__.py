@@ -4,7 +4,7 @@ Turns the in-process streaming surface (:mod:`repro.api`) into a
 multi-client TCP service: a length-prefixed binary wire protocol
 (:mod:`repro.service.protocol`), an asyncio server with per-connection
 backpressure, request batching, and graceful drain
-(:mod:`repro.service.server`), sync and async client libraries
+(:mod:`repro.service.server`), a pooled synchronous client
 (:mod:`repro.service.client`), request/latency metrics
 (:mod:`repro.service.metrics`), the resilience primitives —
 deadlines, retry policies and budgets, circuit breakers — the clients
@@ -20,11 +20,7 @@ streams.  See ``docs/service.md`` for the wire specification and threat
 model; ``fcbench serve`` / ``fcbench client`` are the CLI entry points.
 """
 
-from repro.service.client import (
-    DEFAULT_CODEC,
-    AsyncServiceClient,
-    ServiceClient,
-)
+from repro.service.client import DEFAULT_CODEC, ServiceClient
 from repro.service.gateway import ObservabilityGateway, render_prometheus
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.protocol import (
@@ -54,7 +50,6 @@ from repro.service.tenants import (
 )
 
 __all__ = [
-    "AsyncServiceClient",
     "CircuitBreaker",
     "CompressionServer",
     "DEFAULT_CODEC",

@@ -6,10 +6,6 @@ and ``compress_array`` / ``decompress_array`` methods that mirror the
 local :mod:`repro.api` surface — the compressed bytes a served call
 returns are exactly the FCF stream the local call would produce.
 
-:class:`AsyncServiceClient` is the asyncio twin (one connection, same
-request surface as coroutines) for callers already living on an event
-loop.
-
 Usage::
 
     from repro.service import ServiceClient, serve_background
@@ -27,7 +23,6 @@ raises :class:`~repro.errors.ProtocolError`.
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import threading
 import time
@@ -35,7 +30,7 @@ import time
 import numpy as np
 
 from repro.api.frames import DEFAULT_CHUNK_ELEMENTS
-from repro.client import CompressionClient, deprecated_kwarg
+from repro.client import CompressionClient
 from repro.errors import ProtocolError, ServerOverloadedError
 from repro.obs import NULL_SPAN, SpanRecorder
 from repro.service import protocol
@@ -57,7 +52,7 @@ from repro.service.protocol import (
     response_type,
 )
 
-__all__ = ["ServiceClient", "AsyncServiceClient", "DEFAULT_CODEC"]
+__all__ = ["ServiceClient", "DEFAULT_CODEC"]
 
 #: Default codec for served compression, matching ``fcbench compress``.
 DEFAULT_CODEC = "bitshuffle-zstd"
@@ -169,14 +164,11 @@ class ServiceClient(CompressionClient):
         functions, so replaying one is always safe.  Shorthand for a
         default :class:`~repro.service.resilience.RetryPolicy` with
         ``retry + 1`` attempts; ignored when ``retry_policy`` is
-        given.  (Formerly spelled ``retries=``; the old keyword still
-        works with a :class:`DeprecationWarning` for one release.)
+        given.
     deadline:
         The *overall operation budget* in seconds: one budget that
         every attempt, backoff sleep, and re-dial spends from.  A
         per-call ``deadline=`` argument overrides it per request.
-        (Formerly spelled ``timeout=``; the old keyword still works
-        with a :class:`DeprecationWarning` for one release.)
     attempt_timeout:
         Cap on each individual socket operation (connect, send, recv).
         Defaults to ``deadline``, preserving the historical behavior
@@ -223,8 +215,8 @@ class ServiceClient(CompressionClient):
         port: int,
         *,
         pool_size: int = 2,
-        retry: int | None = None,
-        deadline: float | None = None,
+        retry: int = 1,
+        deadline: float = 30.0,
         attempt_timeout: float | None = None,
         token: str | None = None,
         max_payload: int = DEFAULT_MAX_PAYLOAD,
@@ -232,15 +224,9 @@ class ServiceClient(CompressionClient):
         retry_budget: RetryBudget | None = None,
         propagate_deadline: bool = False,
         trace: bool | SpanRecorder = False,
-        retries: int | None = None,
-        timeout: float | None = None,
     ) -> None:
         if pool_size < 1:
             raise ValueError("pool_size must be positive")
-        retry = deprecated_kwarg("retries", "retry", retries, retry)
-        deadline = deprecated_kwarg("timeout", "deadline", timeout, deadline)
-        retry = 1 if retry is None else retry
-        deadline = 30.0 if deadline is None else deadline
         self.host = host
         self.port = int(port)
         self.pool_size = int(pool_size)
@@ -270,11 +256,6 @@ class ServiceClient(CompressionClient):
         self._lock = threading.Lock()
         self._next_id = 0
         self._closed = False
-
-    @property
-    def timeout(self) -> float:
-        """Deprecated alias of :attr:`deadline` (kept for one release)."""
-        return self.deadline
 
     # -- pooling -------------------------------------------------------
     def _checkout(self, connect_timeout: float | None = None) -> _Connection:
@@ -557,176 +538,3 @@ class ServiceClient(CompressionClient):
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-class AsyncServiceClient:
-    """Asyncio client: one connection, the same request surface.
-
-    Use :meth:`connect` (or the async context manager) to dial::
-
-        async with await AsyncServiceClient.connect(host, port) as client:
-            blob = await client.compress_array(array, codec="auto")
-    """
-
-    def __init__(
-        self,
-        reader,
-        writer,
-        *,
-        max_payload: int = DEFAULT_MAX_PAYLOAD,
-        token: str | None = None,
-        trace: bool | SpanRecorder = False,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._parser = FrameParser(max_payload)
-        self._next_id = 0
-        self._lock = asyncio.Lock()
-        self.token = token
-        self.recorder = (
-            trace
-            if isinstance(trace, SpanRecorder)
-            else SpanRecorder(enabled=bool(trace))
-        )
-
-    @classmethod
-    async def connect(
-        cls,
-        host: str,
-        port: int,
-        *,
-        attempt_timeout: float | None = None,
-        max_payload: int = DEFAULT_MAX_PAYLOAD,
-        token: str | None = None,
-        trace: bool | SpanRecorder = False,
-        timeout: float | None = None,
-    ) -> "AsyncServiceClient":
-        attempt_timeout = deprecated_kwarg(
-            "timeout", "attempt_timeout", timeout, attempt_timeout
-        )
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port),
-            30.0 if attempt_timeout is None else attempt_timeout,
-        )
-        return cls(
-            reader, writer, max_payload=max_payload, token=token, trace=trace
-        )
-
-    async def _request(self, frame_type: int, payload: bytes) -> Frame:
-        async with self._lock:  # one in-flight request per connection
-            self._next_id += 1
-            request_id = self._next_id
-            span = self.recorder.span(
-                "client.request",
-                attributes={
-                    "op": protocol.REQUEST_NAMES.get(frame_type, "unknown"),
-                    "request_id": request_id,
-                },
-            )
-            ctx = span.context
-            try:
-                self._writer.write(
-                    encode_frame(
-                        frame_type,
-                        request_id,
-                        payload,
-                        tenant_token=self.token,
-                        trace_context=ctx.to_wire() if ctx else None,
-                    )
-                )
-                await self._writer.drain()
-                while True:
-                    data = await self._reader.read(1 << 16)
-                    if not data:
-                        raise ConnectionError(
-                            "server closed the connection mid-reply"
-                        )
-                    frames = self._parser.feed(data)
-                    if frames:
-                        if len(frames) > 1:
-                            raise ProtocolError(
-                                "server answered one request with "
-                                f"{len(frames)} frames"
-                            )
-                        return _check_response(
-                            frames[0], frame_type, request_id
-                        )
-            except BaseException as exc:
-                span.set_error(exc)
-                raise
-            finally:
-                span.finish()
-
-    async def ping(self, payload: bytes = b"fcbench") -> float:
-        start = time.perf_counter()
-        frame = await self._request(PING, bytes(payload))
-        if frame.payload != bytes(payload):
-            raise ProtocolError("pong payload does not echo the ping")
-        return time.perf_counter() - start
-
-    async def compress_array(
-        self,
-        array,
-        codec: str = DEFAULT_CODEC,
-        *,
-        chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-        policy: str = "heuristic",
-    ) -> bytes:
-        payload = protocol.encode_compress_request(
-            np.asarray(array), codec, chunk_elements, policy
-        )
-        return (await self._request(COMPRESS, payload)).payload
-
-    async def decompress_array(self, blob) -> np.ndarray:
-        frame = await self._request(DECOMPRESS, bytes(blob))
-        return protocol.decode_array(frame.payload)
-
-    async def select_explain(
-        self,
-        array,
-        *,
-        policy: str = "heuristic",
-        chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-    ) -> dict:
-        payload = protocol.encode_explain_request(
-            np.asarray(array), policy, chunk_elements
-        )
-        frame = await self._request(SELECT_EXPLAIN, payload)
-        return protocol.decode_json(frame.payload)
-
-    async def stats(self) -> dict:
-        return protocol.decode_json((await self._request(STATS, b"")).payload)
-
-    async def health(self) -> dict:
-        return protocol.decode_json((await self._request(HEALTH, b"")).payload)
-
-    async def cluster_topology(self) -> dict:
-        frame = await self._request(CLUSTER_TOPOLOGY, b"")
-        return protocol.decode_topology(frame.payload)
-
-    async def cluster_control(
-        self, action: str, node: str | None = None
-    ) -> dict:
-        payload = protocol.encode_control(action, node)
-        frame = await self._request(CLUSTER_CONTROL, payload)
-        return protocol.decode_json(frame.payload)
-
-    async def trace(
-        self, limit: int | None = None, trace_id: str | None = None
-    ) -> dict:
-        payload = protocol.encode_trace_request(limit, trace_id)
-        frame = await self._request(TRACE, payload)
-        return protocol.decode_json(frame.payload)
-
-    async def close(self) -> None:
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    async def __aenter__(self) -> "AsyncServiceClient":
-        return self
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.close()

@@ -6,11 +6,8 @@ instance; a ``stats`` protocol request (and ``fcbench serve
 dict with per-operation counts, per-codec byte totals, per-tenant
 request/byte/rejection counters, and p50/p95/p99 latency estimates.
 
-Snapshot naming contract: admission-control counters live under the
-canonical ``admission`` key; the historical ``resilience`` spelling is
-kept as a deprecated alias for one release (it carries only the keys
-it always had, so old dashboards keep working while new counters land
-under ``admission`` alone).
+Snapshot naming contract: admission-control counters (shedding,
+deadline and tenant rejections) live under the ``admission`` key.
 
 Latencies go into a fixed log-spaced :class:`LatencyHistogram` rather
 than a sample list, so a server that has handled a hundred million
@@ -259,13 +256,6 @@ class ServiceMetrics:
                     "deadline_expired": self.deadline_expired,
                     "auth_rejected": self.auth_rejected,
                     "quota_rejected": self.quota_rejected,
-                },
-                # Deprecated alias (one release): the pre-tenancy
-                # spelling, frozen at the keys it always had.
-                "resilience": {
-                    "shed_requests": self.shed_requests,
-                    "deadline_rejected": self.deadline_rejected,
-                    "deadline_expired": self.deadline_expired,
                 },
                 "tenants": {
                     tenant: {

@@ -36,8 +36,8 @@ def _resolve(filter_name: str):
 
 
 def encode_chunk(filter_name: str, chunk: np.ndarray) -> bytes:
-    """Compress one chunk with the named filter (raw frame payload)."""
-    return frames.encode_payload(_resolve(filter_name), chunk)
+    """Compress one chunk, flattened, with the named filter (raw payload)."""
+    return frames.encode_payload(_resolve(filter_name), np.ravel(chunk))
 
 
 def decode_chunk(
@@ -45,6 +45,8 @@ def decode_chunk(
 ) -> np.ndarray:
     """Decompress one chunk back to ``n_elements`` of ``dtype``."""
     try:
-        return frames.decode_payload(_resolve(filter_name), blob, n_elements, dtype)
+        return frames.decode_payload(
+            _resolve(filter_name), blob, (n_elements,), dtype
+        )
     except CorruptStreamError as exc:
         raise StorageError(str(exc)) from exc

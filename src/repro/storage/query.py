@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api.frames import decode_payload, encode_payload
 from repro.compressors.base import Compressor
 from repro.perf.timing import PerformanceModel
 from repro.storage.dataframe import DataFrame
@@ -84,15 +85,13 @@ class QueryBenchmark:
     ) -> QueryCost:
         """Execute the pipeline and model paper-scale timings.
 
-        ``array`` is the scaled dataset; real compression establishes the
-        ratio, which scales the paper-size read volume.  The scan itself
-        runs for real on the decoded frame to validate results.
+        ``array`` is the scaled dataset; real compression through the
+        payload codec Table 4 measures with establishes the ratio, which
+        scales the paper-size read volume.  The scan itself runs for real
+        on the decoded frame to validate results.
         """
-        work = array
-        if not compressor.info.supports_dtype(work.dtype):
-            work = work.astype(np.float64)
-        blob = compressor.compress(work)
-        ratio = work.nbytes / len(blob)
+        payload = encode_payload(compressor, array)
+        ratio = array.nbytes / len(payload)
         compressed_paper_bytes = int(paper_bytes / ratio)
 
         # 1. file I/O on the compressed stream
@@ -108,7 +107,9 @@ class QueryBenchmark:
 
         # 3. full-table scans over histogram-edge predicates (real scan
         # on scaled data validates the result; time modeled at paper rows)
-        frame = DataFrame.from_table(compressor.decompress(blob).reshape(array.shape))
+        frame = DataFrame.from_table(
+            decode_payload(compressor, payload, array.shape, array.dtype)
+        )
         first = frame.column_names[0]
         edges = frame.histogram_edges(first, bins=n_predicates)
         total_selected = 0

@@ -3,19 +3,24 @@
 1. A chunk-parallel ``CompressSession`` writes the exact bytes the
    serial path writes, for every registered method — parallelism is a
    scheduling decision, never a format decision.
-2. Single-chunk session output round-trips through the legacy
-   ``Compressor.decompress`` shim for every method, so readers written
-   against the old one-shot API keep working on FCF streams.
-3. The legacy ``compress`` output itself is unchanged by the redesign
-   (pinned against an independent reimplementation of the old framing).
+2. The frame of a single-chunk session is exactly what the payload
+   codec (:func:`repro.api.frames.encode_payload`) returns for the same
+   array, and :func:`~repro.api.frames.decode_payload` inverts it — the
+   paper runner and the FCF sessions measure the same bytes.
+3. That payload is the codec's own output with no header in front: the
+   bytes the retired one-shot layout carried after its header.
+
+Tests 2 and 3 keep the names they had when they covered the one-shot
+``Compressor.compress``/``decompress`` layer.
 """
 
 import numpy as np
 import pytest
 
-from repro.api import compress_array, decompress_array
+from repro.api import DecompressSession, compress_array, decompress_array
+from repro.api.frames import decode_payload, encode_payload
 from repro.compressors import compressor_names, get_compressor
-from repro.encodings.varint import encode_uvarint
+from tests.conftest import assert_bit_exact
 
 ALL_METHODS = compressor_names()
 
@@ -42,41 +47,24 @@ def test_single_chunk_session_roundtrips_through_legacy_shim(name):
     comp = get_compressor(name)
     arr = _sample(comp, n=700)
     blob = compress_array(arr, comp, chunk_elements=arr.size)
-    restored = comp.decompress(blob)  # the deprecated one-shot surface
-    uint = np.uint64 if arr.dtype.itemsize == 8 else np.uint32
-    np.testing.assert_array_equal(
-        restored.ravel().view(uint), arr.view(uint)
-    )
+    with DecompressSession(blob) as reader:
+        (frame,) = reader.frames
+    payload = encode_payload(comp, arr)
+    assert blob[frame.offset : frame.offset + frame.compressed_bytes] == payload
+    assert_bit_exact(arr, decode_payload(comp, payload, arr.shape, arr.dtype))
 
 
 @pytest.mark.parametrize("name", ALL_METHODS)
 def test_legacy_compress_format_is_frozen(name):
-    """The shim must keep emitting the pre-redesign one-shot layout."""
+    """The payload is the codec's own output, with no header in front."""
     comp = get_compressor(name)
     arr = _sample(comp, n=257).reshape(257)
-    blob = comp.compress(arr)
-    dtype_code = 1 if arr.dtype == np.float64 else 0
-    expected_header = (
-        bytes([0xFC, dtype_code]) + encode_uvarint(1) + encode_uvarint(257)
-    )
-    assert blob[: len(expected_header)] == expected_header
-    assert blob[len(expected_header) :] == comp._compress(
-        comp._validate(arr)
-    )
-
-
-def test_multi_chunk_fcf_also_accepted_by_legacy_shim():
-    comp = get_compressor("chimp")
-    arr = _sample(comp)
-    blob = compress_array(arr, comp, chunk_elements=256)
-    np.testing.assert_array_equal(
-        comp.decompress(blob).view(np.uint64), arr.view(np.uint64)
-    )
+    assert encode_payload(comp, arr) == comp._compress(comp._validate(arr))
 
 
 def test_fcf_streams_decode_without_naming_a_codec():
     # The stream is self-describing: the reader resolves the codec from
-    # the header, whatever instance the shim was called on.
+    # the header.
     arr = _sample(get_compressor("gorilla"))
     blob = compress_array(arr, "gorilla", chunk_elements=1024)
     np.testing.assert_array_equal(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.api import FOOTER_BYTES, compress_array, decompress_array
-from repro.api.frames import decode_legacy_header
+from repro.api.frames import decode_payload, encode_payload
 from repro.compressors import compressor_names, get_compressor
 from repro.errors import CorruptStreamError
 
@@ -47,25 +47,29 @@ def _expect_corrupt_or_exact(decode, original):
 
 @pytest.mark.parametrize("name", ALL_METHODS)
 def test_legacy_stream_truncation(name):
+    """A bare payload cut short, decoded by :func:`decode_payload`.
+
+    The name is kept from when payloads were read inside the one-shot
+    stream layout; the bare payload is what that layout carried.
+    """
     comp = get_compressor(name)
     arr = _sample(comp)
-    blob = comp.compress(arr)
-    _, _, header_end = decode_legacy_header(blob)
-    payload_len = len(blob) - header_end
-    # Every header boundary, plus a spread of payload cut points.  The
-    # legacy format carries no checksum, so cuts inside the last few
-    # payload bytes of an arithmetic-coded tail are indistinguishable
-    # from final-flush padding — that detection gap is exactly what the
-    # FCF per-frame CRC closes (see test_fcf_stream_truncation, which
-    # covers every region including the very last byte).
-    tail_limit = max(header_end, len(blob) - 16)
-    cuts = set(range(header_end + 1))  # every header boundary
-    cuts.update(
-        min(header_end + (payload_len * f) // 8, tail_limit) for f in range(9)
-    )
+    payload = encode_payload(comp, arr)
+    # The first bytes, plus a spread of cut points.  A bare payload
+    # carries no checksum, so cuts inside the last few bytes of an
+    # arithmetic-coded tail are indistinguishable from final-flush
+    # padding — that detection gap is exactly what the FCF per-frame
+    # CRC closes (see test_fcf_stream_truncation, which covers every
+    # region including the very last byte).
+    tail_limit = max(0, len(payload) - 16)
+    cuts = set(range(5))
+    cuts.update(min((len(payload) * f) // 8, tail_limit) for f in range(9))
     for cut in sorted(cuts):
         _expect_corrupt_or_exact(
-            lambda cut=cut: comp.decompress(blob[:cut]), arr
+            lambda cut=cut: decode_payload(
+                comp, payload[:cut], arr.shape, arr.dtype
+            ),
+            arr,
         )
 
 

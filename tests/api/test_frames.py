@@ -9,6 +9,7 @@ from repro.api import frames
 from repro.compressors import get_compressor
 from repro.encodings.varint import encode_uvarint
 from repro.errors import CorruptStreamError
+from tests.conftest import roundtrip
 
 
 # ----------------------------------------------------------------------
@@ -85,12 +86,12 @@ def test_payload_crc_verified_before_decode():
     import zlib
 
     crc = zlib.crc32(payload) & 0xFFFFFFFF
-    out = frames.decode_payload(comp, payload, 256, np.float64, crc)
+    out = frames.decode_payload(comp, payload, (256,), np.float64, crc)
     np.testing.assert_array_equal(out, arr)
     damaged = bytearray(payload)
     damaged[len(damaged) // 2] ^= 0x01
     with pytest.raises(CorruptStreamError, match="checksum"):
-        frames.decode_payload(comp, bytes(damaged), 256, np.float64, crc)
+        frames.decode_payload(comp, bytes(damaged), (256,), np.float64, crc)
 
 
 def test_index_rejects_absurd_chunk_count():
@@ -133,21 +134,35 @@ def test_raw_payload_roundtrip():
     arr = np.linspace(0, 1, 64)
     blob = frames.encode_payload(None, arr)
     assert blob == arr.tobytes()
-    out = frames.decode_payload(None, blob, 64, np.float64)
+    out = frames.decode_payload(None, blob, (64,), np.float64)
     np.testing.assert_array_equal(out, arr)
 
 
 def test_raw_payload_length_validated():
     with pytest.raises(CorruptStreamError, match="raw frame"):
-        frames.decode_payload(None, b"\x00" * 24, 4, np.float64)
+        frames.decode_payload(None, b"\x00" * 24, (4,), np.float64)
 
 
 def test_f32_reinterpret_roundtrip_odd_tail():
     comp = get_compressor("gfc")  # double-only
     arr = np.random.default_rng(0).normal(0, 1, 101).astype(np.float32)
-    blob = frames.encode_payload(comp, arr)
-    out = frames.decode_payload(comp, blob, 101, np.dtype(np.float32))
-    np.testing.assert_array_equal(out.view(np.uint32), arr.view(np.uint32))
+    for case in (arr, arr[:91].reshape(7, 13)):  # both with an odd tail
+        blob = frames.encode_payload(comp, case)
+        out = frames.decode_payload(comp, blob, case.shape, np.float32)
+        assert out.shape == case.shape
+        np.testing.assert_array_equal(
+            out.view(np.uint32), case.view(np.uint32)
+        )
+
+
+def test_payload_codec_sees_the_logical_shape():
+    # fpzip's Lorenzo predictor uses the dimensions it is handed.
+    comp = get_compressor("fpzip")
+    arr = np.add.outer(np.arange(24.0), np.arange(40.0) / 8)
+    payload = frames.encode_payload(comp, arr)
+    assert payload != frames.encode_payload(comp, arr.ravel())
+    out = frames.decode_payload(comp, payload, arr.shape, arr.dtype)
+    np.testing.assert_array_equal(out, arr)
 
 
 def test_unknown_codec_is_corrupt_stream():
@@ -158,16 +173,11 @@ def test_unknown_codec_is_corrupt_stream():
 # ----------------------------------------------------------------------
 # Hostile metadata (satellite: bound count against payload length)
 # ----------------------------------------------------------------------
-def test_hostile_legacy_header_rejected_before_allocation():
+def test_hostile_declared_shape_rejected_before_allocation():
     comp = get_compressor("gorilla")
-    hostile = (
-        bytes([0xFC, 1])
-        + encode_uvarint(1)
-        + encode_uvarint(1 << 60)  # ~9 exabytes of float64
-        + b"\x00" * 100
-    )
+    hostile_shape = (1 << 60,)  # ~9 exabytes of float64
     with pytest.raises(CorruptStreamError, match="declares"):
-        comp.decompress(hostile)
+        frames.decode_payload(comp, b"\x00" * 100, hostile_shape, np.float64)
 
 
 def test_hostile_count_bound_is_per_codec():
@@ -187,14 +197,9 @@ def test_payload_driven_codec_skips_bound_but_validates_count():
     # SPDP's output size comes from its token stream; a hostile declared
     # count is caught by the post-decode element-count comparison.
     comp = get_compressor("spdp")
-    arr = np.zeros(1000)
-    blob = comp.compress(arr)
-    _, _, offset = frames.decode_legacy_header(blob)
-    hostile = (
-        bytes([0xFC, 1]) + encode_uvarint(1) + encode_uvarint(1 << 60)
-    ) + blob[offset:]
+    payload = frames.encode_payload(comp, np.zeros(1000))
     with pytest.raises(CorruptStreamError):
-        comp.decompress(hostile)
+        frames.decode_payload(comp, payload, (1 << 60,), np.float64)
 
 
 def test_highly_compressible_streams_still_decode():
@@ -202,5 +207,4 @@ def test_highly_compressible_streams_still_decode():
     for name in ("spdp", "fpzip", "bitshuffle-zstd", "gorilla"):
         comp = get_compressor(name)
         arr = np.zeros(1 << 17)
-        out = comp.decompress(comp.compress(arr))
-        np.testing.assert_array_equal(out, arr)
+        np.testing.assert_array_equal(roundtrip(comp, arr), arr)

@@ -163,14 +163,14 @@ def test_soak_with_tenancy_ledger_byte_exact_across_failover():
 
 def _snapshot_problems(snapshot: dict) -> list[str]:
     problems = []
-    resilience = snapshot.get("resilience")
-    if not isinstance(resilience, dict):
-        problems.append("missing resilience section")
+    admission = snapshot.get("admission")
+    if not isinstance(admission, dict):
+        problems.append("missing admission section")
     else:
         for key in ("shed_requests", "deadline_rejected", "deadline_expired"):
-            value = resilience.get(key)
+            value = admission.get(key)
             if not isinstance(value, int) or value < 0:
-                problems.append(f"bad resilience counter {key}={value!r}")
+                problems.append(f"bad admission counter {key}={value!r}")
     ops = snapshot.get("ops")
     if not isinstance(ops, dict):
         problems.append("missing ops section")

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.api.frames import encode_payload
 from repro.compressors import get_compressor
-from tests.conftest import assert_bit_exact
+from tests.conftest import assert_bit_exact, roundtrip
 
 # Any bit pattern is a valid float, including NaN payloads; generate raw
 # bits so the search space covers specials and denormals.
@@ -44,7 +45,7 @@ _SETTINGS = settings(
 @given(array=_f64_arrays)
 def test_roundtrip_f64_any_bits(method, array):
     comp = get_compressor(method)
-    assert_bit_exact(array, comp.decompress(comp.compress(array)))
+    assert_bit_exact(array, roundtrip(comp, array))
 
 
 @pytest.mark.parametrize("method", _FAST_METHODS_F32)
@@ -52,7 +53,7 @@ def test_roundtrip_f64_any_bits(method, array):
 @given(array=_f32_arrays)
 def test_roundtrip_f32_any_bits(method, array):
     comp = get_compressor(method)
-    assert_bit_exact(array, comp.decompress(comp.compress(array)))
+    assert_bit_exact(array, roundtrip(comp, array))
 
 
 @_SETTINGS
@@ -66,7 +67,7 @@ def test_roundtrip_f32_any_bits(method, array):
 def test_dimensional_methods_on_3d(array):
     for method in ("fpzip", "ndzip-cpu"):
         comp = get_compressor(method)
-        assert_bit_exact(array, comp.decompress(comp.compress(array)))
+        assert_bit_exact(array, roundtrip(comp, array))
 
 
 @_SETTINGS
@@ -83,8 +84,8 @@ def test_dimensional_methods_on_3d(array):
 def test_buff_scan_agrees_with_numpy(values, decimals):
     arr = np.round(values, decimals)
     comp = get_compressor("buff")
-    blob = comp.compress(arr)
+    blob = encode_payload(comp, arr)
     threshold = float(np.median(arr))
     np.testing.assert_array_equal(
-        comp.scan_less_equal(blob, threshold), arr <= threshold
+        comp.scan_less_equal(blob, threshold, arr.dtype), arr <= threshold
     )

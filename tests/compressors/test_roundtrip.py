@@ -1,22 +1,12 @@
 """Bit-exact round-trip matrix: every method x every canonical array."""
 
-import numpy as np
 import pytest
 
+from repro.api.frames import decode_payload, encode_payload
 from repro.compressors import compressor_names, get_compressor
-from tests.conftest import assert_bit_exact
+from tests.conftest import assert_bit_exact, roundtrip
 
 METHODS = compressor_names()
-
-
-def _prepare(comp, array):
-    """Harness-side dtype policy: reinterpret f32 pairs for D-only methods."""
-    if comp.info.supports_dtype(array.dtype):
-        return array
-    flat = np.ascontiguousarray(array).ravel()
-    if flat.size % 2:
-        flat = np.concatenate([flat, np.zeros(1, dtype=flat.dtype)])
-    return flat.view(np.float64)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -33,23 +23,21 @@ def test_roundtrip(method, case, cases):
     comp = get_compressor(method)
     if method == "dzip" and array.size > 1200:
         pytest.skip("dzip is KB/s-slow by design; covered on small arrays")
-    work = _prepare(comp, array)
-    blob = comp.compress(work)
-    assert_bit_exact(work, comp.decompress(blob))
+    assert_bit_exact(array, roundtrip(comp, array))
 
 
 @pytest.mark.parametrize("method", [m for m in METHODS if m != "dzip"])
 def test_compress_is_deterministic(method, cases):
     comp = get_compressor(method)
-    array = _prepare(comp, cases["decimals_f64"])
-    assert comp.compress(array) == comp.compress(array)
+    array = cases["decimals_f64"]
+    assert encode_payload(comp, array) == encode_payload(comp, array)
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_stream_is_self_describing(method, cases):
     comp = get_compressor(method)
-    array = _prepare(comp, cases["table_f64"])
-    blob = comp.compress(array)
+    array = cases["table_f64"]
+    blob = encode_payload(comp, array)
     # A fresh instance (no shared state) must decode the stream.
     fresh = get_compressor(method)
-    assert_bit_exact(array, fresh.decompress(blob))
+    assert_bit_exact(array, decode_payload(fresh, blob, array.shape, array.dtype))

@@ -15,6 +15,7 @@ import pytest
 from repro.compressors import get_compressor
 from repro.compressors.mpc import MpcCompressor
 from repro.compressors.ndzip import NdzipCpuCompressor
+from tests.conftest import roundtrip
 
 from .conftest_vector import adversarial_cases  # noqa: F401  (fixture file)
 
@@ -94,7 +95,7 @@ class TestNdzipBatching:
         assert compressor._compress(array) == compressor._compress_scalar(
             array
         )
-        restored = compressor.decompress(compressor.compress(array))
+        restored = roundtrip(compressor, array)
         assert _bitexact(restored, array)
 
 
@@ -103,8 +104,7 @@ class TestMpcLaneReconstruction:
         rng = np.random.default_rng(11)
         array = rng.normal(0, 1, 5000)
         compressor = MpcCompressor()
-        payload = compressor.compress(array)
-        restored = compressor.decompress(payload)
+        restored = roundtrip(compressor, array)
         assert _bitexact(restored, array)
 
     def test_lag6_prefix_identity(self):

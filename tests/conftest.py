@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.frames import decode_payload, encode_payload
+
 
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
@@ -54,3 +56,10 @@ def assert_bit_exact(original: np.ndarray, restored: np.ndarray) -> None:
     assert restored.dtype == original.dtype
     uint = np.uint32 if original.dtype == np.float32 else np.uint64
     np.testing.assert_array_equal(original.view(uint), restored.view(uint))
+
+
+def roundtrip(comp, array: np.ndarray) -> np.ndarray:
+    """Encode and decode ``array`` through the shared payload codec."""
+    array = np.asarray(array)
+    payload = encode_payload(comp, array)
+    return decode_payload(comp, payload, array.shape, array.dtype)

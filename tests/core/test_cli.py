@@ -224,6 +224,31 @@ def test_bench_writes_snapshot_and_diffs(tmp_path, capsys):
     assert "enc Δ" in out
 
 
+def test_bench_fails_on_a_red_gate(tmp_path, capsys, monkeypatch):
+    from repro.perf import bench
+
+    report = {
+        "cells": [],
+        "service": {
+            "tenancy": {"acceptance": {"pass": False, "target": 0.97}},
+            "tracing_overhead": {"within_budget": True},
+        },
+    }
+    monkeypatch.setattr(bench, "run_bench", lambda **kwargs: report)
+    out_path = tmp_path / "BENCH_red.json"
+    args = ["bench", "--methods", "gorilla", "--output", str(out_path)]
+    assert main(args) == 1
+    assert out_path.exists()  # the snapshot is written before failing
+    err = capsys.readouterr().err
+    assert "service.tenancy.acceptance" in err
+
+    report["service"]["tenancy"]["acceptance"]["pass"] = True
+    assert main(args) == 0
+    report["service"]["tracing_overhead"]["within_budget"] = False
+    assert main(args) == 1
+    assert "service.tracing_overhead.within_budget" in capsys.readouterr().err
+
+
 def test_bench_rejects_unknown_method(capsys):
     assert main(["bench", "--methods", "nope"]) == 2
     assert "unknown methods" in capsys.readouterr().err

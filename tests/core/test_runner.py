@@ -52,20 +52,32 @@ def test_paper_limits_can_be_disabled():
 
 
 def test_f32_reinterpreted_for_double_only(runner):
-    comp = get_compressor("pfpc")
+    # pFPC sees the float32 dataset's bytes as 64-bit words; CR is still
+    # measured against the original bytes, not an upcast buffer.
+    spec = get_spec("rsim")
     arr = load("rsim", 2048)
-    work = runner.prepare_input(comp, arr)
-    assert work.dtype == np.float64
-    assert work.nbytes >= arr.nbytes  # same bytes (padded if odd)
-    np.testing.assert_array_equal(
-        work.view(np.float32)[: arr.size], arr.ravel()
-    )
+    assert arr.dtype == np.float32 and arr.size % 2  # odd: one padded word
+    m = runner.run_cell("pfpc", arr, spec)
+    assert m.ok
+    assert m.precision == "D"
+    assert m.input_bytes == arr.nbytes
+    padded = np.append(arr.ravel(), np.float32(0))
+    words = padded.view(np.float64)
+    assert m.compressed_bytes == len(get_compressor("pfpc")._compress(words))
 
 
 def test_supported_dtype_passthrough(runner):
-    comp = get_compressor("chimp")
+    # The codec receives the dataset unchanged, shape included, and CR
+    # counts its own output only.
+    spec = get_spec("rsim")
     arr = load("rsim", 2048)
-    assert runner.prepare_input(comp, arr) is arr
+    comp = get_compressor("fpzip")
+    m = runner.run_cell("fpzip", arr, spec)
+    assert m.ok
+    assert m.precision == "S"
+    assert m.compressed_bytes == len(comp._compress(comp._validate(arr)))
+    flat = runner.run_cell("fpzip", arr.ravel(), spec)
+    assert flat.compressed_bytes != m.compressed_bytes
 
 
 def test_wall_time_includes_gpu_transfers(runner):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api.frames import decode_payload, encode_payload
 from repro.compressors import get_compressor
 from repro.data import get_spec, load
 from repro.storage import ContainerReader, ContainerWriter, DataFrame
@@ -53,17 +54,17 @@ def test_buff_query_without_decode_vs_decoded_scan(tmp_path):
     """BUFF's selective filter agrees with the decoded full scan."""
     arr = np.round(np.random.default_rng(1).normal(30, 8, 6000), 2)
     comp = get_compressor("buff")
-    blob = comp.compress(arr)
+    blob = encode_payload(comp, arr)
     threshold = 30.0
-    encoded_scan = comp.scan_less_equal(blob, threshold)
-    decoded_scan = comp.decompress(blob) <= threshold
+    encoded_scan = comp.scan_less_equal(blob, threshold, arr.dtype)
+    decoded_scan = decode_payload(comp, blob, arr.shape, arr.dtype) <= threshold
     np.testing.assert_array_equal(encoded_scan, decoded_scan)
 
 
 def test_cross_method_stream_confusion_fails_loud():
-    a = get_compressor("gorilla").compress(np.ones(64))
+    a = encode_payload(get_compressor("gorilla"), np.ones(64))
     with pytest.raises(Exception):
-        get_compressor("fpzip").decompress(a)
+        decode_payload(get_compressor("fpzip"), a, (64,), np.float64)
 
 
 def test_full_suite_cell_consistency():
@@ -73,5 +74,5 @@ def test_full_suite_cell_consistency():
     spec = get_spec("citytemp")
     arr = load("citytemp", 2048)
     cell = BenchmarkRunner().run_cell("chimp", arr, spec)
-    direct = arr.nbytes / len(get_compressor("chimp").compress(arr))
+    direct = arr.nbytes / len(encode_payload(get_compressor("chimp"), arr))
     assert cell.compression_ratio == pytest.approx(direct)

@@ -143,7 +143,7 @@ def test_expired_deadline_rejected_before_queueing(server):
     assert "expired" in message
     assert frames[1].frame_type == response_type(PING)
     assert frames[1].payload == b"still-alive"
-    assert server.metrics.snapshot()["resilience"]["deadline_rejected"] >= 1
+    assert server.metrics.snapshot()["admission"]["deadline_rejected"] >= 1
 
 
 def test_generous_deadline_serves_identical_bytes(server):
@@ -200,7 +200,7 @@ def test_admission_gate_sheds_with_retryable_overload():
                 raise_for_error(frame)
             assert info.value.retry_after_ms == 7
         snapshot = handle.metrics.snapshot()
-        assert snapshot["resilience"]["shed_requests"] >= 2
+        assert snapshot["admission"]["shed_requests"] >= 2
     finally:
         handle.stop()
 

@@ -358,31 +358,3 @@ def test_stats_request_reflects_served_traffic():
         assert snapshot["codecs"]["gorilla"]["bytes_in"] == 128 * 8
         assert snapshot["connections"]["opened"] >= 1
         handle.stop()
-
-
-def test_async_client_roundtrip():
-    import asyncio
-
-    from repro.service import AsyncServiceClient
-
-    arr = np.cumsum(np.ones(500) * 0.5)
-    local = compress_array(arr, "gorilla", chunk_elements=100)
-
-    async def scenario(host, port):
-        client = await AsyncServiceClient.connect(host, port)
-        async with client:
-            assert await client.ping() >= 0
-            blob = await client.compress_array(
-                arr, "gorilla", chunk_elements=100
-            )
-            assert blob == local
-            back = await client.decompress_array(blob)
-            assert np.array_equal(back, arr)
-            explain = await client.select_explain(arr, chunk_elements=250)
-            assert len(explain["chunks"]) == 2
-            stats = await client.stats()
-            assert stats["ops"]["compress"]["requests"] >= 1
-
-    with serve_background() as handle:
-        asyncio.run(scenario(handle.host, handle.port))
-        handle.stop()

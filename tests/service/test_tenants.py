@@ -208,12 +208,7 @@ class TestServedTenancy:
         assert stats["tenants"]["acme"]["requests"] == 1
         assert stats["tenants"]["suspended"]["quota_rejected"] == 1
         assert stats["admission"]["quota_rejected"] == 1
-        # The deprecated alias keeps its original three keys, no more.
-        assert set(stats["resilience"]) == {
-            "shed_requests",
-            "deadline_rejected",
-            "deadline_expired",
-        }
+        assert "resilience" not in stats
 
     def test_priority_orders_batch_execution(self):
         # Two tenants pipeline into the same coalescing window; the

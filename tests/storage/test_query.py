@@ -5,7 +5,9 @@ import pytest
 
 from repro.api.session import DecompressSession, compress_array
 from repro.compressors import get_compressor
+from repro.core.runner import BenchmarkRunner
 from repro.data import get_spec, load
+from repro.storage.iosim import DiskModel
 from repro.storage.query import QueryBenchmark
 
 
@@ -57,6 +59,26 @@ def test_serial_decoders_dominate_total(bench):
     fpzip = bench.run(get_compressor("fpzip"), spec.name, arr,
                       spec.paper_bytes, spec.paper_extent[0])
     assert fpzip.decode_ms > 10 * fpzip.read_ms
+
+
+def test_float32_read_volume_matches_table4_ratio():
+    # A disk model whose read time in seconds is the byte count: the
+    # read volume of Table 11 is paper_bytes over the Table 4 ratio of
+    # the same cell, also for float32 tables under a double-only codec.
+    spec = get_spec("tpcDS-web")
+    arr = load(spec.name, 4096)
+    assert arr.dtype == np.float32
+    cell = BenchmarkRunner().run_cell("pfpc", arr, spec)
+    assert cell.ok
+    bytes_as_seconds = DiskModel(
+        bandwidth_gbs=1e-9, seek_latency_s=0.0, per_chunk_overhead_s=0.0
+    )
+    cost = QueryBenchmark(disk=bytes_as_seconds).run(
+        get_compressor("pfpc"), spec.name, arr,
+        spec.paper_bytes, spec.paper_extent[0],
+    )
+    expected = int(spec.paper_bytes / cell.compression_ratio)
+    assert cost.read_ms / 1e3 == pytest.approx(expected, rel=1e-9)
 
 
 # -- range reads through the stream index (run_range edge cases) -------

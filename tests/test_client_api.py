@@ -1,12 +1,11 @@
-"""The unified client surface: ``connect()``, the ABC, kwarg shims.
+"""The unified client surface: ``connect()``, the ABC, kwarg spellings.
 
 ``ServiceClient`` and ``ClusterClient`` must be drop-in
 interchangeable behind :class:`repro.CompressionClient` — the same
 helper drives a byte round-trip through both without knowing which
 topology it holds.  The canonical kwarg spellings (``deadline=``,
-``retry=``) must work on every client, the deprecated ones
-(``timeout=``, ``retries=``) must warn exactly once and keep working,
-and passing both spellings is a hard ``TypeError``.
+``retry=``) must work on every client; the old ones (``timeout=``,
+``retries=``) are a hard ``TypeError``.
 
 Also audits every public module's ``__all__``: each exported name must
 resolve, so ``from repro.x import *`` never breaks.
@@ -21,7 +20,6 @@ import pytest
 
 import repro
 from repro import CompressionClient, connect
-from repro.client import deprecated_kwarg
 from repro.cluster.client import ClusterClient
 from repro.service import ServiceClient, serve_background
 
@@ -93,29 +91,22 @@ class TestConnect:
 
 
 class TestDeprecatedKwargs:
-    def test_service_client_timeout_alias_warns(self, handle):
-        with pytest.warns(DeprecationWarning, match="'timeout'"):
-            client = ServiceClient(handle.host, handle.port, timeout=2.0)
-        with client:
-            assert client.deadline == 2.0
-            assert client.timeout == 2.0  # legacy property still reads
+    """The pre-canonical spellings ``timeout=``/``retries=`` are gone."""
 
-    def test_service_client_retries_alias_warns(self, handle):
-        with pytest.warns(DeprecationWarning, match="'retries'"):
-            client = ServiceClient(handle.host, handle.port, retries=2)
-        client.close()
+    def test_removed_spellings_are_rejected(self, handle):
+        address = (handle.host, handle.port)
+        with pytest.raises(TypeError, match="timeout"):
+            ServiceClient(*address, timeout=2.0)
+        with pytest.raises(TypeError, match="retries"):
+            ServiceClient(*address, retries=2)
+        with pytest.raises(TypeError, match="timeout"):
+            ClusterClient([address], timeout=4.0)
+        with ServiceClient(*address, deadline=2.0) as client:
+            assert not hasattr(client, "timeout")
 
     def test_both_spellings_is_an_error(self, handle):
-        with pytest.raises(TypeError, match="deprecated alias"):
+        with pytest.raises(TypeError):
             ServiceClient(handle.host, handle.port, deadline=1.0, timeout=2.0)
-
-    def test_cluster_client_timeout_alias_warns(self, handle):
-        with pytest.warns(DeprecationWarning, match="'timeout'"):
-            client = ClusterClient(
-                [(handle.host, handle.port)], timeout=4.0
-            )
-        with client:
-            assert client.deadline == 4.0
 
     def test_canonical_spelling_does_not_warn(self, handle):
         with warnings.catch_warnings():
@@ -124,13 +115,6 @@ class TestDeprecatedKwargs:
                 handle.host, handle.port, deadline=2.0, retry=1
             ) as client:
                 assert client.deadline == 2.0
-
-    def test_helper_contract(self):
-        assert deprecated_kwarg("old", "new", None, 7) == 7
-        with pytest.warns(DeprecationWarning):
-            assert deprecated_kwarg("old", "new", 3, None) == 3
-        with pytest.raises(TypeError):
-            deprecated_kwarg("old", "new", 3, 7)
 
 
 class TestPublicSurface:
